@@ -15,6 +15,10 @@
 //! placement wall"), so the share itself is gated (`better: lower`):
 //! if placement grows back toward dominating the flow, the gate fails.
 //!
+//! The same profile yields **`signoff_stage_share`**, the Signoff
+//! stage's fraction, also gated `lower`: it trips if signoff
+//! equivalence again spends more on bookkeeping than on the check.
+//!
 //! ```text
 //! cargo bench -p smt-bench --bench placement
 //! ```
@@ -71,18 +75,24 @@ fn main() {
     assert!(report.all_passed(), "{}", report.render());
     let profile = report.stage_profile();
     let total = profile.total().as_secs_f64().max(1e-9);
-    let place = profile
-        .rows
-        .iter()
-        .find(|r| r.id == StageId::PlaceAndClock)
-        .map(|r| r.total.as_secs_f64())
-        .unwrap_or(0.0);
-    let share = place / total;
+    let share_of = |id: StageId| {
+        profile
+            .rows
+            .iter()
+            .find(|r| r.id == id)
+            .map(|r| r.total.as_secs_f64())
+            .unwrap_or(0.0)
+            / total
+    };
+    let share = share_of(StageId::PlaceAndClock);
+    let signoff_share = share_of(StageId::Signoff);
     println!(
-        "placement stage share: {:.1}% of {:.2}s flow time",
+        "stage shares of {:.2}s flow time: placement {:.1}%, signoff {:.1}%",
+        total,
         100.0 * share,
-        total
+        100.0 * signoff_share
     );
     h.metric("placement_stage_share", share);
+    h.metric("signoff_stage_share", signoff_share);
     h.finish();
 }

@@ -8,7 +8,7 @@ use smt_circuits::rtl::{circuit_a_rtl_lanes, circuit_b_rtl};
 use smt_core::cluster::{construct_switch_structure, ClusterConfig};
 use smt_core::smtgen::{insert_output_holders, to_improved_mt_cells};
 use smt_place::{place, PlacerConfig};
-use smt_route::{route_global, Parasitics, RouteConfig};
+use smt_route::{Parasitics, RouteConfig, Router};
 use smt_sta::{analyze, Derating, StaConfig};
 use smt_synth::{synthesize, SynthOptions};
 
@@ -61,7 +61,9 @@ fn bench_route(h: &mut Harness) {
         .expect("valid random_logic config");
         let p = place(&n, &lib, &PlacerConfig::default());
         g.bench(&gates.to_string(), || {
-            route_global(&n, &lib, &p, &RouteConfig::default())
+            Router::route(&n, &lib, &p, &RouteConfig::default(), 0)
+                .global()
+                .clone()
         });
     }
 }

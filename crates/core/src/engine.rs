@@ -41,7 +41,7 @@ use crate::reopt::{reoptimize_switches_at_corners, ReoptReport};
 use crate::smtgen::{
     insert_initial_switch, insert_output_holders, to_conventional_smt, to_improved_mt_cells,
 };
-use crate::verify::{verify_cached, VerifyError, VerifyReport};
+use crate::verify::{verify, VerifyError, VerifyReport};
 use smt_base::par::parallel_map;
 use smt_base::units::{Area, Current, Time};
 use smt_cells::corner::{hold_libs, setup_libs, Corner, CornerLibrary, CornerSet};
@@ -52,7 +52,7 @@ use smt_netlist::{DeltaBasis, NetlistDelta};
 use smt_place::{PlaceError, Placement, Placer, PlacerConfig};
 use smt_power::{bounce_derates, LeakageLedger, PricingMode};
 use smt_route::{CtsConfig, CtsReport, CtsSession, Parasitics, RouteConfig, Router};
-use smt_sim::{EquivCache, Mode, Simulator, Value};
+use smt_sim::{Mode, Simulator, Value};
 use smt_sta::{analyze, analyze_cached, Derating, StaConfig, TimingGraph, TimingReport};
 use smt_synth::{synthesize, SynthError, SynthOptions};
 use std::collections::BTreeSet;
@@ -497,9 +497,12 @@ pub struct DesignState {
     /// The CTS session: a fingerprint-gated recording of the clock tree,
     /// replayed bit-identically when the sequential fabric is unchanged.
     pub cts_session: Option<CtsSession>,
-    /// Warm equivalence state: per-output fan-in closures and per-cone
-    /// verdicts, so signoff re-verifies only cones an ECO touched.
-    pub equiv_cache: Option<EquivCache>,
+    /// Always `None`: signoff runs the plain fraig check on every run,
+    /// cold or forked, because it costs less than a per-output cone
+    /// cache saves.
+    #[deprecated(note = "always `None`; signoff no longer keeps warm equivalence state")]
+    #[allow(deprecated)]
+    pub equiv_cache: Option<smt_sim::EquivCache>,
     /// Per-instance leakage rows for delta-aware power re-summation and
     /// cheap per-corner re-pricing.
     pub power_ledger: Option<LeakageLedger>,
@@ -511,6 +514,7 @@ pub struct DesignState {
 
 impl DesignState {
     /// Empty state: the [`StageId::Synthesize`] stage will fill it from RTL.
+    #[allow(deprecated)]
     pub fn new() -> Self {
         DesignState {
             netlist: Netlist::new("design"),
@@ -1706,21 +1710,14 @@ impl Stage for Signoff {
             return Err(FlowError::TimingNotMet { wns: timing.wns });
         }
 
-        // Equivalence re-checks are scoped to the cones an ECO touched:
-        // the warm cache inherits fraig and simulation verdicts for
-        // untouched cones, and the report digest stays bit-identical to
-        // an uncached run.
-        let mut equiv_cache = state.equiv_cache.take().unwrap_or_default();
-        let verify_report = verify_cached(
+        let verify_report = verify(
             &state.golden,
             &state.netlist,
             lib,
             ctx.config.verify_cycles,
             ctx.config.seed,
-            &mut equiv_cache,
         )
         .map_err(FlowError::Verify)?;
-        state.equiv_cache = Some(equiv_cache);
 
         // Leakage through the delta-aware ledger: refresh re-derives
         // only when the netlist moved, and pricing replays the exact

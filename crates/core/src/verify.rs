@@ -7,10 +7,7 @@ use smt_cells::cell::CellRole;
 use smt_cells::library::Library;
 use smt_netlist::check::{analyze, LintPolicy, LintReport};
 use smt_netlist::netlist::{Netlist, PortDir};
-use smt_sim::{
-    check_equivalence, check_equivalence_cached, EquivCache, EquivOptions, EquivReport, Mode,
-    Simulator, Value,
-};
+use smt_sim::{check_equivalence, EquivReport, Mode, Simulator, Value};
 
 /// Combined verification outcome.
 #[derive(Debug, Clone)]
@@ -78,37 +75,6 @@ pub fn verify(
     cycles: usize,
     seed: u64,
 ) -> Result<VerifyReport, VerifyError> {
-    verify_inner(golden, dut, lib, cycles, seed, None)
-}
-
-/// [`verify`] with a warm [`EquivCache`]: the equivalence step re-checks
-/// only residue cones touched since the cache last saw the DUT, and the
-/// report — digest included — stays bit-identical to the uncached run.
-/// The cache must belong to this golden/DUT lineage; a different golden
-/// or options simply empties it (correct, just not incremental).
-///
-/// # Errors
-///
-/// See [`verify`].
-pub fn verify_cached(
-    golden: &Netlist,
-    dut: &Netlist,
-    lib: &Library,
-    cycles: usize,
-    seed: u64,
-    cache: &mut EquivCache,
-) -> Result<VerifyReport, VerifyError> {
-    verify_inner(golden, dut, lib, cycles, seed, Some(cache))
-}
-
-fn verify_inner(
-    golden: &Netlist,
-    dut: &Netlist,
-    lib: &Library,
-    cycles: usize,
-    seed: u64,
-    cache: Option<&mut EquivCache>,
-) -> Result<VerifyReport, VerifyError> {
     // 1. Static analysis under the signoff policy (full catalog, strict
     // MT wiring). This pre-filters equivalence checking: a structural
     // error here is a transform bug, reported long before the
@@ -119,23 +85,10 @@ fn verify_inner(
     // the DUT grew one, so the port sets match.
     let mut golden2 = golden.clone();
     mirror_control_ports(&mut golden2, dut);
-    let equivalence = match cache {
-        Some(cache) => check_equivalence_cached(
-            &golden2,
-            dut,
-            lib,
-            &EquivOptions {
-                cycles,
-                seed,
-                ..EquivOptions::default()
-            },
-            cache,
-        ),
-        None => check_equivalence(&golden2, dut, lib, cycles, seed),
-    }
-    .map_err(|e| VerifyError {
-        message: e.to_string(),
-    })?;
+    let equivalence =
+        check_equivalence(&golden2, dut, lib, cycles, seed).map_err(|e| VerifyError {
+            message: e.to_string(),
+        })?;
 
     // 3. Standby safety: drive a known input vector, gate the design, and
     // look for powered cells with X inputs.

@@ -27,13 +27,11 @@
 //! println!("HPWL = {:.1} um", placement.hpwl(&n));
 //! ```
 
-pub mod def;
 pub mod estimate;
 pub mod fm;
 pub mod place;
 pub mod store;
 
-pub use def::{parse as parse_def, write as write_def, ParseDefError};
 pub use estimate::{estimate_net_rc, NetRc};
 pub use place::{full_place_runs, place, PlaceError, Placement, Placer, PlacerConfig};
 pub use store::{decode_placement, encode_placement, PlacementDecodeError};

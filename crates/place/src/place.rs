@@ -167,8 +167,8 @@ impl Clone for Placement {
 }
 
 impl Placement {
-    /// Assembles a placement from already-legal parts (the DEF reader,
-    /// hand-built test fixtures). Every slot in `locs` counts as
+    /// Assembles a placement from already-legal parts (the `.plc`
+    /// decoder, hand-built test fixtures). Every slot in `locs` counts as
     /// deliberately placed.
     pub fn from_parts(
         locs: Vec<Point>,
@@ -351,7 +351,7 @@ impl Placer {
         })
     }
 
-    /// Wraps an existing placement (a cache hit, a DEF import) in a
+    /// Wraps an existing placement (a cache hit) in a
     /// session without re-placing anything.
     pub fn from_placement(placement: Placement, config: PlacerConfig) -> Self {
         Placer { config, placement }

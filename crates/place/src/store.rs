@@ -87,6 +87,33 @@ fn digest_of(body: &str) -> u64 {
     h.finish()
 }
 
+/// Splits off the trailing digest line and checks it against the body,
+/// so no count in the body is trusted (or allocated for) before the
+/// bytes are known to be what [`encode_placement`] wrote.
+fn verified_body(text: &str) -> Result<&str, PlacementDecodeError> {
+    let body_len = text
+        .rfind("\ndigest ")
+        .map(|p| p + 1)
+        .ok_or_else(|| err(0, "missing trailing digest"))?;
+    let (body, rest) = text.split_at(body_len);
+    let line = body.lines().count() + 1;
+    let (digest_line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
+    if !tail.trim().is_empty() {
+        return Err(err(line + 1, "content after the digest line"));
+    }
+    let field = digest_line["digest ".len()..].trim();
+    let want =
+        u64::from_str_radix(field, 16).map_err(|_| err(line, format!("bad digest `{field}`")))?;
+    let got = digest_of(body);
+    if got != want {
+        return Err(err(
+            line,
+            format!("digest mismatch: entry says {want:016x}, content is {got:016x}"),
+        ));
+    }
+    Ok(body)
+}
+
 /// Decodes [`encode_placement`] output, verifying the trailing digest.
 ///
 /// # Errors
@@ -95,7 +122,8 @@ fn digest_of(body: &str) -> u64 {
 /// malformed fields, out-of-range cell indices, a missing or mismatched
 /// digest.
 pub fn decode_placement(text: &str) -> Result<Placement, PlacementDecodeError> {
-    let mut lines = text.lines().enumerate();
+    let body = verified_body(text)?;
+    let mut lines = body.lines().enumerate();
     let (_, magic) = lines.next().ok_or_else(|| err(0, "empty entry"))?;
     if magic != MAGIC {
         return Err(err(1, format!("bad magic `{magic}`, want `{MAGIC}`")));
@@ -147,7 +175,7 @@ pub fn decode_placement(text: &str) -> Result<Placement, PlacementDecodeError> {
         .strip_prefix("ports ")
         .and_then(|s| s.trim().parse().ok())
         .ok_or_else(|| err(line, "want `ports n`"))?;
-    let mut port_locs = Vec::with_capacity(n_ports);
+    let mut port_locs = Vec::new();
     for _ in 0..n_ports {
         let (i, l) = lines.next().ok_or_else(|| err(0, "truncated port list"))?;
         let line = i + 1;
@@ -167,7 +195,6 @@ pub fn decode_placement(text: &str) -> Result<Placement, PlacementDecodeError> {
         .ok_or_else(|| err(line, "want `cells capacity`"))?;
     let mut locs = vec![Point::ORIGIN; capacity];
     let mut placed = vec![false; capacity];
-    let mut saw_digest = false;
     for (i, l) in lines {
         let line = i + 1;
         if let Some(rest) = l.strip_prefix("cell ") {
@@ -186,28 +213,9 @@ pub fn decode_placement(text: &str) -> Result<Placement, PlacementDecodeError> {
             }
             locs[idx] = Point::new(bits(line, toks[1])?, bits(line, toks[2])?);
             placed[idx] = true;
-        } else if let Some(rest) = l.strip_prefix("digest ") {
-            let want = u64::from_str_radix(rest.trim(), 16)
-                .map_err(|_| err(line, format!("bad digest `{rest}`")))?;
-            // The digest covers everything up to (not including) its own line.
-            let body_len = text
-                .find("\ndigest ")
-                .map(|p| p + 1)
-                .ok_or_else(|| err(line, "digest line not found in body"))?;
-            let got = digest_of(&text[..body_len]);
-            if got != want {
-                return Err(err(
-                    line,
-                    format!("digest mismatch: entry says {want:016x}, content is {got:016x}"),
-                ));
-            }
-            saw_digest = true;
         } else if !l.trim().is_empty() {
             return Err(err(line, format!("unexpected line `{l}`")));
         }
-    }
-    if !saw_digest {
-        return Err(err(0, "missing trailing digest"));
     }
     Ok(Placement {
         locs,
@@ -293,6 +301,10 @@ mod tests {
         // Truncation loses the digest line.
         let cut = &text[..text.len() - 20];
         assert!(decode_placement(cut).is_err());
+        // A corrupted count is rejected before anything is allocated
+        // for it.
+        let huge = text.replacen("\ncells ", "\ncells 1799200000000", 1);
+        assert!(decode_placement(&huge).is_err());
         // Garbage magic.
         assert!(decode_placement("SMTXYZ 9\n").is_err());
         // Empty.

@@ -61,8 +61,7 @@ pub struct Parasitics {
     pub nets: Vec<NetParasitics>,
     /// True when produced by post-route extraction.
     pub post_route: bool,
-    /// Per-net extraction fingerprints (empty for estimates and parsed
-    /// SPEF): everything a net's extraction depends on — pin positions,
+    /// Per-net extraction fingerprints (empty for estimates): everything a net's extraction depends on — pin positions,
     /// sink cells, port loads, routed length — so [`Parasitics::update`]
     /// can prove a cached entry is still exact.
     pub(crate) fps: Vec<u64>,
@@ -304,7 +303,8 @@ fn extract_net(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{route_global, RouteConfig};
+    use crate::global::RouteConfig;
+    use crate::router::Router;
     use smt_place::{place, PlacerConfig};
 
     fn chain(lib: &Library, len: usize) -> Netlist {
@@ -328,7 +328,9 @@ mod tests {
         let n = chain(&lib, 40);
         let p = place(&n, &lib, &PlacerConfig::default());
         let est = Parasitics::estimate(&n, &lib, &p);
-        let gr = route_global(&n, &lib, &p, &RouteConfig::default());
+        let gr = Router::route(&n, &lib, &p, &RouteConfig::default(), 0)
+            .global()
+            .clone();
         let ext = Parasitics::extract(&n, &lib, &p, &gr);
         assert!(!est.post_route);
         assert!(ext.post_route);
@@ -365,7 +367,9 @@ mod tests {
         p.set_loc(drv, smt_base::geom::Point::new(0.0, 2.0));
         p.set_loc(s0, smt_base::geom::Point::new(8.0, 2.0));
         p.set_loc(s1, smt_base::geom::Point::new(80.0, 2.0));
-        let gr = route_global(&n, &lib, &p, &RouteConfig::default());
+        let gr = Router::route(&n, &lib, &p, &RouteConfig::default(), 0)
+            .global()
+            .clone();
         let ext = Parasitics::extract(&n, &lib, &p, &gr);
         let pw = ext.net(w);
         assert_eq!(pw.sink_elmore.len(), 2);

@@ -10,7 +10,6 @@
 //! the paper.
 
 use smt_base::geom::Point;
-use smt_cells::library::Library;
 use smt_netlist::netlist::{NetDriver, NetId, Netlist};
 use smt_place::Placement;
 use std::cmp::Reverse;
@@ -259,29 +258,11 @@ pub(crate) fn net_pins(netlist: &Netlist, placement: &Placement, net: NetId) -> 
     pins
 }
 
-/// Runs global routing over all multi-pin nets.
-///
-/// Thin wrapper over [`crate::router::Router`]: the initial pass routes
-/// every net independently on an empty grid (a pure function of the
-/// net's pin list, which is what makes per-net caching and the
-/// incremental [`crate::router::Router::reroute_nets`] path exact), and
-/// congestion is then resolved by sequential rip-up & reroute in net-id
-/// order against the live grid, so later victims see earlier victims'
-/// new paths and the iteration converges deterministically.
-pub fn route_global(
-    netlist: &Netlist,
-    lib: &Library,
-    placement: &Placement,
-    config: &RouteConfig,
-) -> GlobalRoute {
-    crate::router::Router::route(netlist, lib, placement, config, 0)
-        .global()
-        .clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::Router;
+    use smt_cells::library::Library;
     use smt_place::{place, PlacerConfig};
 
     fn chain(lib: &Library, len: usize) -> Netlist {
@@ -304,7 +285,9 @@ mod tests {
         let lib = Library::industrial_130nm();
         let n = chain(&lib, 50);
         let p = place(&n, &lib, &PlacerConfig::default());
-        let gr = route_global(&n, &lib, &p, &RouteConfig::default());
+        let gr = Router::route(&n, &lib, &p, &RouteConfig::default(), 0)
+            .global()
+            .clone();
         assert!(gr.total_length() > 0.0);
         // Routed length should be within a sane factor of HPWL.
         let hpwl = p.hpwl(&n);
@@ -320,7 +303,9 @@ mod tests {
         let lib = Library::industrial_130nm();
         let n = chain(&lib, 20);
         let p = place(&n, &lib, &PlacerConfig::default());
-        let gr = route_global(&n, &lib, &p, &RouteConfig::default());
+        let gr = Router::route(&n, &lib, &p, &RouteConfig::default(), 0)
+            .global()
+            .clone();
         assert_eq!(gr.overflow, 0, "peak = {}", gr.peak_utilization);
     }
 
@@ -329,15 +314,11 @@ mod tests {
         let lib = Library::industrial_130nm();
         let n = chain(&lib, 60);
         let p = place(&n, &lib, &PlacerConfig::default());
-        let gr = route_global(
-            &n,
-            &lib,
-            &p,
-            &RouteConfig {
-                capacity: 1,
-                ..RouteConfig::default()
-            },
-        );
+        let cfg = RouteConfig {
+            capacity: 1,
+            ..RouteConfig::default()
+        };
+        let gr = Router::route(&n, &lib, &p, &cfg, 0).global().clone();
         // Every multi-pin net still gets a length.
         for (id, net) in n.nets() {
             if net.driver.is_some() && !net.loads.is_empty() {

@@ -11,8 +11,6 @@
 //! * [`extract`] — parasitic extraction at two fidelities: pre-route
 //!   estimates from placement and post-route RC trees with per-sink
 //!   Elmore delays;
-//! * [`spef`] — SPEF-lite text exchange of extracted parasitics (the
-//!   artifact the paper's post-route re-optimization consumes);
 //! * [`cts`] — clock tree synthesis by recursive geometric clustering;
 //! * [`buffering`] — high-fanout buffering, used for the MTE enable net.
 
@@ -21,12 +19,11 @@ pub mod cts;
 pub mod extract;
 pub mod global;
 pub mod router;
-pub mod spef;
 pub mod steiner;
 
 pub use buffering::{buffer_net, BufferingConfig, BufferingReport};
 pub use cts::{full_cts_runs, synthesize_clock_tree, CtsConfig, CtsReport, CtsSession};
 pub use extract::{reextractions_avoided, NetParasitics, Parasitics};
-pub use global::{route_global, GlobalRoute, RouteConfig};
+pub use global::{GlobalRoute, RouteConfig};
 pub use router::{full_route_runs, Router};
 pub use steiner::{steiner_tree, RouteTree};

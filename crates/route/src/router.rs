@@ -158,8 +158,7 @@ impl Router {
         router
     }
 
-    /// The current route view (same shape [`crate::global::route_global`]
-    /// returns).
+    /// The current route view.
     pub fn global(&self) -> &GlobalRoute {
         &self.view
     }

@@ -40,15 +40,15 @@ pub mod equiv;
 pub mod fraig;
 pub mod sim;
 pub mod toggle;
-pub mod vcd;
 pub mod wordsim;
 
 pub use equiv::{
-    check_equivalence, check_equivalence_cached, check_equivalence_scalar, check_equivalence_with,
-    EquivCache, EquivOptions, EquivReport, Mismatch,
+    check_equivalence, check_equivalence_scalar, check_equivalence_with, EquivOptions, EquivReport,
+    Mismatch,
 };
+#[allow(deprecated)]
+pub use equiv::{check_equivalence_cached, EquivCache};
 pub use fraig::{prove_equivalent_outputs, FraigOutcome};
 pub use sim::{Mode, Simulator, Value};
 pub use toggle::{estimate_toggles, ToggleStats};
-pub use vcd::WaveRecorder;
 pub use wordsim::{eval_tt_word, Word, WordSimulator};

@@ -14,7 +14,7 @@
 //! * [`sim`] — logic simulation and equivalence checking
 //! * [`synth`] — RTL-lite → AIG → technology mapping
 //! * [`place`] — min-cut placement + legalization + annealing
-//! * [`route`] — Steiner/maze routing, RC extraction, SPEF-lite, CTS
+//! * [`route`] — Steiner/maze routing, RC extraction, CTS
 //! * [`sta`] — static timing analysis
 //! * [`power`] — standby leakage and VGND bounce analysis
 //! * [`core`] — the paper's methodology: Dual-Vth, conventional SMT,

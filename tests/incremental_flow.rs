@@ -188,7 +188,6 @@ fn warm_fork_reuses_routes_and_extraction_bit_for_bit() {
         state.router = warm.router;
         state.cts_session = warm.cts_session;
         state.extracted = warm.extracted;
-        state.equiv_cache = warm.equiv_cache;
         state.power_ledger = warm.power_ledger;
         Checkpoint::new(state)
     };

@@ -1,6 +1,7 @@
 //! Cross-crate I/O round trips on real designs: Verilog-lite,
-//! Liberty-lite, SPEF-lite and SNL all survive write→parse with the
-//! design's semantics intact, and the SNL parser survives a seeded
+//! Liberty-lite and SNL all survive write→parse with the design's
+//! semantics intact, and every reader of outside bytes (SNL, JSON,
+//! flow configs, wire frames, `.plc` cache entries) survives a seeded
 //! corpus of mutated/malformed inputs without panicking.
 
 use selective_mt::base::SplitMix64;
@@ -11,7 +12,6 @@ use selective_mt::circuits::rtl::circuit_b_rtl_sized;
 use selective_mt::netlist::netlist::Netlist;
 use selective_mt::netlist::verilog;
 use selective_mt::place::{place, PlacerConfig};
-use selective_mt::route::{route_global, spef, Parasitics, RouteConfig};
 use selective_mt::sim::check_equivalence;
 use selective_mt::synth::{snl, synthesize, SynthOptions};
 
@@ -182,11 +182,43 @@ fn snl_malformed_inputs_error_instead_of_panicking() {
     }
 }
 
+/// Printable junk for byte smashes: structural characters of every
+/// format under fuzz (SNL, JSON, NDJSON frames, `.plc` hex records).
+const JUNK: &[u8] = b"=.( z0\"{}[],:-e9\n";
+
+/// One seeded mutation of an ASCII text: truncate at a byte, drop a
+/// span, duplicate a span, or smash up to four bytes with [`JUNK`]. ASCII
+/// in, ASCII out, so text readers can take the result as UTF-8.
+fn mutate(rng: &mut SplitMix64, base: &[u8]) -> Vec<u8> {
+    let mut bytes = base.to_vec();
+    let len = bytes.len();
+    // A span of 1..=64 bytes starting anywhere.
+    let start = rng.next_below(len);
+    let end = start + 1 + rng.next_below((len - start).min(64));
+    match rng.next_below(4) {
+        0 => bytes.truncate(start),
+        1 => {
+            bytes.drain(start..end);
+        }
+        2 => {
+            let span = bytes[start..end].to_vec();
+            bytes.splice(end..end, span);
+        }
+        _ => {
+            for _ in 0..1 + rng.next_below(4) {
+                let idx = rng.next_below(len);
+                bytes[idx] = JUNK[rng.next_below(JUNK.len())];
+            }
+        }
+    }
+    bytes
+}
+
 #[test]
 fn snl_seeded_mutation_fuzz_never_panics() {
-    // Take a valid corpus text and apply hundreds of seeded mutations —
-    // truncations, line drops/duplications, token smashes. Every parse
-    // must return Ok or Err; a panic fails the harness.
+    // Take a valid corpus text and apply hundreds of seeded mutations
+    // (see `mutate`). Every parse must return Ok or Err; a panic fails
+    // the harness.
     let lib = Library::industrial_130nm();
     let base = snl::write(
         &generate(&lib, &standard_suite(SuiteScale::Smoke)[0].config).unwrap(),
@@ -194,77 +226,121 @@ fn snl_seeded_mutation_fuzz_never_panics() {
     )
     .unwrap();
     let mut rng = SplitMix64::new(20050307);
-    for round in 0..300 {
-        let mut text = base.clone();
-        match rng.next_below(4) {
-            // Truncate at an arbitrary byte (snap to a char boundary —
-            // SNL output is ASCII, so any byte works).
-            0 => {
-                let cut = rng.next_below(text.len());
-                text.truncate(cut);
-            }
-            // Drop a line.
-            1 => {
-                let lines: Vec<&str> = text.lines().collect();
-                let drop = rng.next_below(lines.len());
-                text = lines
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != drop)
-                    .map(|(_, l)| *l)
-                    .collect::<Vec<_>>()
-                    .join("\n");
-            }
-            // Duplicate a line.
-            2 => {
-                let lines: Vec<&str> = text.lines().collect();
-                let dup = rng.next_below(lines.len());
-                let mut out: Vec<&str> = Vec::with_capacity(lines.len() + 1);
-                for (i, l) in lines.iter().enumerate() {
-                    out.push(l);
-                    if i == dup {
-                        out.push(l);
-                    }
-                }
-                text = out.join("\n");
-            }
-            // Smash one byte with printable junk.
-            _ => {
-                let idx = rng.next_below(text.len());
-                let junk = [b'=', b'.', b' ', b'(', b'z', b'0'][rng.next_below(6)];
-                let mut bytes = text.into_bytes();
-                bytes[idx] = junk;
-                text = String::from_utf8(bytes).expect("ascii in, ascii out");
-            }
-        }
+    for _ in 0..300 {
+        let text =
+            String::from_utf8(mutate(&mut rng, base.as_bytes())).expect("ascii in, ascii out");
         // Ok or Err both fine — only a panic (or a wrong Ok on text the
         // parser then chokes mapping) is a bug. When the text still
         // parses, mapping it must succeed too.
         if let Ok(design) = snl::parse(&text) {
             let _ = selective_mt::synth::map_to_netlist(&design, &lib, &SynthOptions::default());
         }
-        let _ = round;
     }
 }
 
-#[test]
-fn spef_roundtrip_preserves_timing() {
-    use selective_mt::sta::{analyze, Derating, StaConfig};
-    let lib = Library::industrial_130nm();
-    let n = synthesize(&circuit_b_rtl_sized(8), &lib, &SynthOptions::default()).unwrap();
-    let p = place(&n, &lib, &PlacerConfig::default());
-    let gr = route_global(&n, &lib, &p, &RouteConfig::default());
-    let ext = Parasitics::extract(&n, &lib, &p, &gr);
-    let text = spef::write(&n, &ext);
-    let back = spef::parse(&text, &n).unwrap();
+/// A reader of outside bytes: `Ok`, or its typed error rendered.
+type Reader<'a> = Box<dyn Fn(&[u8]) -> Result<(), String> + 'a>;
 
-    let cfg = StaConfig::default();
-    let t1 = analyze(&n, &lib, &ext, &cfg, &Derating::none()).unwrap();
-    let t2 = analyze(&n, &lib, &back, &cfg, &Derating::none()).unwrap();
-    assert!(
-        (t1.wns.ps() - t2.wns.ps()).abs() < 0.1,
-        "wns drifted across SPEF roundtrip: {} vs {}",
-        t1.wns,
-        t2.wns
-    );
+/// One reader under fuzz, with a valid input to mutate.
+struct FuzzRow<'a> {
+    reader: &'static str,
+    base: Vec<u8>,
+    read: Reader<'a>,
+}
+
+#[test]
+fn outside_byte_readers_survive_seeded_mutation_fuzz() {
+    use selective_mt::base::{json, proto::FrameReader};
+    use selective_mt::core::flow::FlowConfig;
+    use selective_mt::place::{decode_placement, encode_placement};
+
+    let lib = Library::industrial_130nm();
+    let design = generate(&lib, &standard_suite(SuiteScale::Smoke)[0].config).unwrap();
+    let placement = place(&design, &lib, &PlacerConfig::default());
+    let config = FlowConfig::default().to_json();
+    let ping = r#"{"id":1,"method":"ping","params":{}}"#;
+    let flow =
+        format!(r#"{{"id":2,"method":"flow","params":{{"design":"pipeline","config":{config}}}}}"#);
+    let swap = r#"{"id":3,"method":"vth-swap","params":{"max_high_fraction":0.6,"note":"a\"b\u00e9","x":[-1.5e-3,null,true]}}"#;
+    let document = format!("[{ping},{flow},{swap}]");
+    let frames = format!("{ping}\n{flow}\n\n{swap}\n");
+    let text = |bytes: &[u8]| String::from_utf8(bytes.to_vec()).expect("ascii in, ascii out");
+    let rows = [
+        FuzzRow {
+            reader: "smt_place::decode_placement",
+            base: encode_placement(&placement).into_bytes(),
+            read: Box::new(|b| {
+                decode_placement(&text(b))
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            }),
+        },
+        FuzzRow {
+            reader: "smt_base::json::parse",
+            base: document.into_bytes(),
+            read: Box::new(|b| json::parse(&text(b)).map(drop).map_err(|e| e.to_string())),
+        },
+        FuzzRow {
+            reader: "FlowConfig::from_json",
+            base: config.clone().into_bytes(),
+            read: Box::new(|b| {
+                FlowConfig::from_json(&text(b))
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            }),
+        },
+        FuzzRow {
+            reader: "proto::FrameReader::read_frame",
+            base: frames.into_bytes(),
+            read: Box::new(|b| {
+                // A small cap so the frame-too-long path is reachable.
+                let mut reader = FrameReader::with_max_frame(b, 96);
+                while reader.read_frame().map_err(|e| e.to_string())?.is_some() {}
+                Ok(())
+            }),
+        },
+        FuzzRow {
+            reader: "snl::load",
+            base: snl::write(&design, &lib).unwrap().into_bytes(),
+            read: Box::new(|b| {
+                snl::load(&text(b), &lib)
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            }),
+        },
+    ];
+
+    let mut rng = SplitMix64::new(20051005);
+    for row in &rows {
+        (row.read)(&row.base)
+            .unwrap_or_else(|e| panic!("{}: valid base rejected: {e}", row.reader));
+        let (mut ok, mut err) = (0, 0);
+        for round in 0..400 {
+            let input = mutate(&mut rng, &row.base);
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (row.read)(&input)));
+            match outcome {
+                Ok(Ok(())) => ok += 1,
+                Ok(Err(message)) => {
+                    assert!(
+                        !message.is_empty(),
+                        "{}: error without a message",
+                        row.reader
+                    );
+                    err += 1;
+                }
+                Err(_) => panic!(
+                    "{} panicked on mutation round {round}; input:\n{}",
+                    row.reader,
+                    String::from_utf8_lossy(&input)
+                ),
+            }
+        }
+        // The mutations must actually reach the error paths.
+        assert!(
+            err > 0,
+            "{}: no mutation was rejected ({ok} accepted)",
+            row.reader
+        );
+    }
 }
