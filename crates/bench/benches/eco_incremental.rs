@@ -1,4 +1,4 @@
-//! Whole-flow incrementality benchmark: what the delta path saves over
+//! Whole-flow incrementality benchmark: what the warm path saves over
 //! re-deriving the physical back half of the flow from scratch.
 //!
 //! ```text
@@ -14,7 +14,7 @@
 //! * clock-tree synthesis (full median-split clustering + insertion
 //!   estimate vs a [`CtsSession`] replay of the recorded tree),
 //! * global routing (a from-scratch [`Router::route`] pass vs
-//!   [`Router::reroute_nets`] revalidating per-net pin fingerprints),
+//!   [`Router::refresh`] revalidating per-net pin fingerprints),
 //! * RC extraction ([`Parasitics::extract`] vs [`Parasitics::update`]
 //!   reusing every net whose extraction fingerprint is unchanged).
 //!
@@ -24,7 +24,7 @@
 //!   swapped budget must be re-timed either way), so including them
 //!   would measure the analysis both paths share, not the incremental
 //!   machinery.
-//! * Equivalence checking has no delta path: signoff runs the plain
+//! * Equivalence checking has no warm path: signoff runs the plain
 //!   fraig check on every run, because on fraig-friendly designs it
 //!   costs milliseconds. Each side's netlist is still checked against
 //!   the golden one below, and the two report digests must match, but
@@ -122,7 +122,7 @@ fn main() {
     // iteration is a real ECO, not a cache no-op.
     let variants: Vec<_> = [0.58, 0.62].iter().map(|&cap| pre_cts(cap)).collect();
 
-    // The delta path must be bit-identical to the full re-run before
+    // The warm path must be bit-identical to the full re-run before
     // its speed means anything — including the equivalence verdicts the
     // timed region omits.
     for (k, (nl0, p0, _)) in variants.iter().enumerate() {
@@ -137,7 +137,7 @@ fn main() {
         let mut cts_s = cts_session.clone();
         let wcts = cts_s.run(&mut wnl, &mut wp, &lib, &cfg.cts);
         let mut r = router.clone();
-        r.reroute_nets(&wnl, &lib, &wp, &cfg.route, None, 0);
+        r.refresh(&wnl, &lib, &wp, &cfg.route, 0);
         let wx = Parasitics::update(extracted.clone(), &wnl, &lib, &wp, r.global());
         let weq = check_equivalence_with(&golden, &wnl, &lib, &eopts).expect("warm equivalence");
 
@@ -164,7 +164,7 @@ fn main() {
 
         let mut kw = 0usize;
         let warm = g.bench_batched(
-            "vth-swap back half, delta path",
+            "vth-swap back half, warm path",
             || {
                 kw += 1;
                 let (nl0, p0, _) = &variants[kw % variants.len()];
@@ -178,7 +178,7 @@ fn main() {
             },
             |(mut nl, mut p, mut cts_s, mut r, prev_x)| {
                 let cts = cts_s.run(&mut nl, &mut p, &lib, &cfg.cts);
-                r.reroute_nets(&nl, &lib, &p, &cfg.route, None, 0);
+                r.refresh(&nl, &lib, &p, &cfg.route, 0);
                 let x = Parasitics::update(prev_x, &nl, &lib, &p, r.global());
                 // Inputs ride along so their deallocation stays outside
                 // the timed window (see `bench_batched`); digests were

@@ -47,15 +47,13 @@ use smt_base::units::{Area, Current, Time};
 use smt_cells::corner::{hold_libs, setup_libs, Corner, CornerLibrary, CornerSet};
 use smt_cells::library::Library;
 use smt_netlist::check::{analyze_with_threads, Diagnostic, LintPolicy, Waiver};
-use smt_netlist::netlist::{InstId, NetId, Netlist, PortDir, VthCensus};
-use smt_netlist::{DeltaBasis, NetlistDelta};
+use smt_netlist::netlist::{Netlist, PortDir, VthCensus};
 use smt_place::{PlaceError, Placement, Placer, PlacerConfig};
 use smt_power::{bounce_derates, LeakageLedger, PricingMode};
 use smt_route::{CtsConfig, CtsReport, CtsSession, Parasitics, RouteConfig, Router};
 use smt_sim::{Mode, Simulator, Value};
 use smt_sta::{analyze, analyze_cached, Derating, StaConfig, TimingGraph, TimingReport};
 use smt_synth::{synthesize, SynthError, SynthOptions};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -503,13 +501,9 @@ pub struct DesignState {
     #[deprecated(note = "always `None`; signoff no longer keeps warm equivalence state")]
     #[allow(deprecated)]
     pub equiv_cache: Option<smt_sim::EquivCache>,
-    /// Per-instance leakage rows for delta-aware power re-summation and
-    /// cheap per-corner re-pricing.
+    /// Per-instance leakage rows captured at signoff from the final
+    /// design's standby snapshot, re-priced once per corner.
     pub power_ledger: Option<LeakageLedger>,
-    /// Netlist changes accumulated since the routing/extraction caches
-    /// were last synchronized; ECO stages use it to scope their
-    /// mid-stage re-route/re-extract candidates.
-    pub delta: NetlistDelta,
 }
 
 impl DesignState {
@@ -542,7 +536,6 @@ impl DesignState {
             cts_session: None,
             equiv_cache: None,
             power_ledger: None,
-            delta: NetlistDelta::new(),
         }
     }
 
@@ -624,37 +617,26 @@ fn placer_mut(placer: &mut Option<Placer>, stage: StageId) -> Result<&mut Placer
 }
 
 /// Brings routing and extraction back in sync with the netlist after a
-/// mid-stage edit, re-routing only the nets in `state.delta` and
-/// re-extracting only what the router actually changed. No-op when the
-/// delta is empty or the design has not been routed yet (pre-route
-/// stages record deltas too; `RouteExtract` consumes them wholesale).
+/// mid-stage edit. The router re-routes only nets whose pin fingerprint
+/// changed, and extraction re-extracts only nets whose extraction
+/// fingerprint changed, so an unchanged design costs one scan of each.
+/// No-op before the design has been routed (`RouteExtract` routes
+/// whatever the pre-route stages left behind).
 fn sync_routing(
     state: &mut DesignState,
     ctx: &FlowContext<'_>,
     stage: StageId,
 ) -> Result<(), FlowError> {
-    if state.delta.is_empty() {
-        return Ok(());
-    }
     let Some(mut router) = state.router.take() else {
         return Ok(());
     };
     let prev = state.extracted.take();
-    let candidates: BTreeSet<NetId> = state.delta.nets.clone();
     let placement = state.placement(stage)?;
-    router.reroute_nets(
-        &state.netlist,
-        ctx.lib,
-        placement,
-        &ctx.config.route,
-        Some(&candidates),
-        0,
-    );
+    router.refresh(&state.netlist, ctx.lib, placement, &ctx.config.route, 0);
     let updated =
         prev.map(|p| Parasitics::update(p, &state.netlist, ctx.lib, placement, router.global()));
     state.extracted = updated;
     state.router = Some(router);
-    state.delta.clear();
     Ok(())
 }
 
@@ -1345,7 +1327,6 @@ impl Stage for AssignDualVth {
         })?;
         // Worst-across-corners assignment: whatever stays low-Vth must
         // tolerate its MT conversion at the slow corner too.
-        let basis = DeltaBasis::of(&state.netlist);
         let report = assign_dual_vth_at_corners(
             &mut state.netlist,
             &ctx.setup_libs(),
@@ -1354,7 +1335,6 @@ impl Stage for AssignDualVth {
             &dualvth_cfg,
         )
         .map_err(FlowError::Assign)?;
-        state.delta.merge(&basis.diff(&state.netlist));
         state.last_wns = Some(report.final_wns);
         state.dualvth = Some(report);
         Ok(())
@@ -1371,7 +1351,6 @@ impl Stage for MtReplace {
     }
 
     fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
-        let basis = DeltaBasis::of(&state.netlist);
         match ctx.config.technique {
             Technique::DualVth => {}
             Technique::ConventionalSmt => {
@@ -1381,7 +1360,6 @@ impl Stage for MtReplace {
                 to_improved_mt_cells(&mut state.netlist, ctx.lib);
             }
         }
-        state.delta.merge(&basis.diff(&state.netlist));
         Ok(())
     }
 }
@@ -1396,12 +1374,10 @@ impl Stage for InsertHolders {
     }
 
     fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
-        let basis = DeltaBasis::of(&state.netlist);
         insert_output_holders(&mut state.netlist, ctx.lib);
         let placement = placement_mut(&mut state.placer, StageId::InsertHolders)?;
         place_new_support_cells(&state.netlist, ctx.lib, placement);
         insert_initial_switch(&mut state.netlist, ctx.lib, ctx.config.cluster.bounce_limit);
-        state.delta.merge(&basis.diff(&state.netlist));
         Ok(())
     }
 }
@@ -1421,7 +1397,6 @@ impl Stage for ClusterSwitches {
         let cfg = ctx.config;
         let lib = ctx.lib;
         let sta_cfg = state.sta(StageId::ClusterSwitches)?.clone();
-        let basis = DeltaBasis::of(&state.netlist);
         let placement = placement_mut(&mut state.placer, StageId::ClusterSwitches)?;
         let mut cl_cfg = cfg.cluster.clone();
         for attempt in 0..=cfg.recluster_retries {
@@ -1448,7 +1423,6 @@ impl Stage for ClusterSwitches {
             // Tighten the bounce budget and re-cluster.
             cl_cfg.bounce_limit = cl_cfg.bounce_limit * 0.7;
         }
-        state.delta.merge(&basis.diff(&state.netlist));
         Ok(())
     }
 }
@@ -1462,7 +1436,6 @@ impl Stage for Cts {
     }
 
     fn run(&self, state: &mut DesignState, ctx: &FlowContext<'_>) -> Result<(), FlowError> {
-        let basis = DeltaBasis::of(&state.netlist);
         // The session replays the recorded tree bit-identically when the
         // clock fabric fingerprint is unchanged (warm what-if re-runs),
         // and falls back to full synthesis otherwise.
@@ -1483,7 +1456,6 @@ impl Stage for Cts {
                 ctx.config.mte_max_fanout,
             );
         }
-        state.delta.merge(&basis.diff(&state.netlist));
         Ok(())
     }
 }
@@ -1505,14 +1477,7 @@ impl Stage for RouteExtract {
         // including checkpoint forks with divergent edit histories.
         let router = match warm_router {
             Some(mut r) => {
-                r.reroute_nets(
-                    &state.netlist,
-                    ctx.lib,
-                    placement,
-                    &ctx.config.route,
-                    None,
-                    0,
-                );
+                r.refresh(&state.netlist, ctx.lib, placement, &ctx.config.route, 0);
                 r
             }
             None => Router::route(&state.netlist, ctx.lib, placement, &ctx.config.route, 0),
@@ -1527,8 +1492,6 @@ impl Stage for RouteExtract {
         };
         state.extracted = Some(extracted);
         state.router = Some(router);
-        // Routing and extraction are now synchronized with the netlist.
-        state.delta.clear();
         Ok(())
     }
 }
@@ -1554,14 +1517,12 @@ impl Stage for ReoptSwitches {
             .collect();
         // Size each cluster's switch for its binding corner (the slow
         // corner's resistive devices bounce hardest).
-        let basis = DeltaBasis::of(&state.netlist);
         let report = reoptimize_switches_at_corners(
             &mut state.netlist,
             &ctx.corner_libs(),
             ctx.config.cluster.bounce_limit,
             |id| lengths.get(id.index()).copied().unwrap_or(0.0),
         );
-        state.delta.merge(&basis.diff(&state.netlist));
         state.reopt = Some(report);
         Ok(())
     }
@@ -1618,7 +1579,6 @@ impl Stage for EcoHoldFix {
         // out — unmoved nets keep their routed trees and extracted
         // entries byte for byte.
         for _pass in 0..3 {
-            let basis = DeltaBasis::of(&state.netlist);
             let extracted = state.extracted.as_ref().ok_or(FlowError::MissingState {
                 stage: StageId::EcoHoldFix,
                 what: "extracted parasitics",
@@ -1632,27 +1592,17 @@ impl Stage for EcoHoldFix {
                 20,
             )
             .map_err(FlowError::Cycle)?;
-            state.delta.merge(&basis.diff(&state.netlist));
             if setup_fix.touched.is_empty() {
                 break;
             }
             // Setup fixes are in-place variant/drive swaps; re-legalize
             // just the rows they touched instead of re-running placement.
+            // The repack can shift *other* cells in the touched rows; the
+            // sync's fingerprint scan picks their nets up too.
             let placer = placer_mut(&mut state.placer, StageId::EcoHoldFix)?;
-            // The repack can shift *other* cells in the touched rows;
-            // snapshot locations so their nets join the re-route set.
-            let before: Vec<_> = (0..state.netlist.inst_capacity())
-                .map(|i| placer.placement().try_loc(InstId(i as u32)))
-                .collect();
             placer.replace_cells(&state.netlist, ctx.lib, &setup_fix.touched);
-            let moved: Vec<InstId> = (0..state.netlist.inst_capacity())
-                .map(|i| InstId(i as u32))
-                .filter(|&id| placer.placement().try_loc(id) != before[id.index()])
-                .collect();
-            state.delta.record_insts(&state.netlist, &moved);
             sync_routing(state, ctx, StageId::EcoHoldFix)?;
         }
-        let basis = DeltaBasis::of(&state.netlist);
         let extracted = state.extracted.as_ref().ok_or(FlowError::MissingState {
             stage: StageId::EcoHoldFix,
             what: "extracted parasitics",
@@ -1668,7 +1618,12 @@ impl Stage for EcoHoldFix {
             ctx.config.hold_rounds,
         )
         .map_err(FlowError::Cycle)?;
-        state.delta.merge(&basis.diff(&state.netlist));
+        // Hold buffers split nets and add new ones: re-route and
+        // re-extract them so signoff times real RC, not stale or empty
+        // entries.
+        if hold_fix.buffers > 0 {
+            sync_routing(state, ctx, StageId::EcoHoldFix)?;
+        }
         state.hold_fix = Some(hold_fix);
         state.derating = Some(derating);
         Ok(())
@@ -1719,13 +1674,12 @@ impl Stage for Signoff {
         )
         .map_err(FlowError::Verify)?;
 
-        // Leakage through the delta-aware ledger: refresh re-derives
-        // only when the netlist moved, and pricing replays the exact
-        // accumulation sequence of the from-scratch walks — at the
-        // primary library here and per corner below — bit-identically.
+        // Leakage through the ledger: one capture of the standby
+        // snapshot, priced with the exact accumulation sequence of the
+        // from-scratch walks — at the primary library here and per
+        // corner below — bit-identically.
         let standby = standby_sim(&state.netlist, lib)?;
-        let mut ledger = state.power_ledger.take().unwrap_or_default();
-        ledger.refresh(&state.netlist, lib, &standby);
+        let ledger = LeakageLedger::capture(&state.netlist, lib, &standby);
         let standby_total = ledger.price(lib, PricingMode::Standby).total();
         let active_total = ledger.price(lib, PricingMode::ActiveMean).total();
 

@@ -13,9 +13,9 @@
 //! * [`WhatIf::VthSwap`] / [`WhatIf::Eco`] fork the *prefix* with a
 //!   modified [`DualVthConfig`] / hold-fix budget and run the remaining
 //!   stages — with the finals' warm incremental caches (routing
-//!   session, CTS recording, extracted parasitics, leakage ledger)
-//!   grafted in, so the back half of the flow
-//!   re-computes only what the fork actually changed;
+//!   session, CTS recording, extracted parasitics) grafted in, so the
+//!   back half of the flow re-computes only what the fork actually
+//!   changed;
 //! * [`WhatIf::Signoff`] forks the *finals*, strips only the signoff
 //!   stage, and re-signs the finished design off at a different
 //!   [`CornerSet`] — no re-implementation at all;
@@ -416,24 +416,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Forks the prefix for an implementation what-if, grafting the warm
 /// incremental-session caches out of the finals checkpoint when one
-/// exists: routing session, CTS recording, extracted parasitics and
-/// leakage ledger. Every one of these four caches is
-/// fingerprint-gated against the netlist it is later asked about, so a
-/// fork whose implementation diverges from the finals simply rebuilds
-/// the stale entries — reuse can change how much work the re-run does,
-/// never its result (the bit-identity the incremental-flow tests
-/// digest-assert).
+/// exists: routing session, CTS recording and extracted parasitics.
+/// Every one of these three caches is fingerprint-gated against the
+/// netlist it is later asked about, so a fork whose implementation
+/// diverges from the finals simply rebuilds the stale entries — reuse
+/// can change how much work the re-run does, never its result (the
+/// bit-identity the incremental-flow tests digest-assert).
 fn fork_prefix_with_warm_caches(prefix: &Checkpoint, finals: Option<&Checkpoint>) -> Checkpoint {
     let mut state = prefix.restore();
     if let Some(finals) = finals {
-        // Borrow the finals and clone only the four cache fields — the
+        // Borrow the finals and clone only the three cache fields — the
         // rest of that state (netlist, placement, reports) is dead
         // weight for a fork that restarts from the prefix.
         let warm = finals.state();
         state.router = warm.router.clone();
         state.cts_session = warm.cts_session.clone();
         state.extracted = warm.extracted.clone();
-        state.power_ledger = warm.power_ledger.clone();
     }
     Checkpoint::new(state)
 }

@@ -1,14 +1,11 @@
-//! Delta-aware leakage ledger.
+//! Leakage ledger for per-corner pricing.
 //!
 //! [`LeakageLedger`] caches, per instance slot, everything the leakage
 //! accounting of [`crate::leakage`] needs — the cell and the captured
-//! standby input state — so that:
-//!
-//! * per-corner signoff re-prices the same rows at each corner library
-//!   without re-walking the netlist and simulator snapshot per corner;
-//! * after an ECO, [`LeakageLedger::refresh`] re-derives rows and
-//!   reports exactly which instances' contributions changed (scoped by a
-//!   [`DeltaBasis`] diff), which the incrementality tests assert.
+//! standby input state. Signoff captures it once from the final
+//! netlist's standby snapshot, then re-prices the same rows at each
+//! corner library without re-walking the netlist and simulator snapshot
+//! per corner.
 //!
 //! Pricing replays the *same* per-class accumulation sequence as
 //! [`crate::leakage::standby_leakage`] / [`crate::leakage::active_leakage`]
@@ -19,7 +16,6 @@ use crate::leakage::LeakageBreakdown;
 use smt_cells::cell::{CellId, CellRole, VthClass};
 use smt_cells::library::Library;
 use smt_netlist::netlist::{InstId, Netlist};
-use smt_netlist::DeltaBasis;
 use smt_sim::{Simulator, Value};
 
 /// Cached leakage inputs of one instance slot.
@@ -50,59 +46,19 @@ pub enum PricingMode {
     ActiveMean,
 }
 
-/// Per-instance leakage rows plus the netlist basis they were captured
-/// against.
+/// Per-instance leakage rows of one netlist's standby snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct LeakageLedger {
     rows: Vec<LedgerRow>,
-    basis: DeltaBasis,
-    /// Rows whose contribution changed in the last refresh.
-    pub last_changed: usize,
-    /// Rows carried over unchanged by the last refresh.
-    pub last_reused: usize,
 }
 
 impl LeakageLedger {
     /// Captures rows for every instance from the standby simulator
     /// snapshot (run it in `Mode::Standby` first).
     pub fn capture(netlist: &Netlist, lib: &Library, sim: &Simulator) -> Self {
-        let mut ledger = LeakageLedger::default();
-        ledger.rows = build_rows(netlist, lib, sim);
-        ledger.basis = DeltaBasis::of(netlist);
-        ledger.last_changed = ledger.rows.len();
-        ledger.last_reused = 0;
-        ledger
-    }
-
-    /// Re-derives the rows against the current netlist and snapshot and
-    /// updates the basis, returning how many instances' leakage inputs
-    /// actually moved. `sim` must be the canonical standby snapshot of
-    /// `netlist` (the flow's fixed alternating-input vector): the
-    /// snapshot is then a pure function of the netlist, so a clean
-    /// [`DeltaBasis`] diff proves every row is still exact and the
-    /// rebuild is skipped outright. A non-empty delta re-derives rows
-    /// and counts the changed contributions (state shifts can radiate
-    /// past the structural delta through the simulator, so the re-read
-    /// covers all rows; the cheap integer work here is what keeps the
-    /// re-priced totals bit-identical).
-    pub fn refresh(&mut self, netlist: &Netlist, lib: &Library, sim: &Simulator) -> usize {
-        if self.basis.diff(netlist).is_empty() {
-            self.last_changed = 0;
-            self.last_reused = self.rows.len();
-            return 0;
+        LeakageLedger {
+            rows: build_rows(netlist, lib, sim),
         }
-        let rows = build_rows(netlist, lib, sim);
-        let mut changed = 0usize;
-        for (i, row) in rows.iter().enumerate() {
-            if self.rows.get(i) != Some(row) {
-                changed += 1;
-            }
-        }
-        self.last_changed = changed;
-        self.last_reused = rows.len() - changed;
-        self.rows = rows;
-        self.basis = DeltaBasis::of(netlist);
-        changed
     }
 
     /// Prices the cached rows at `lib` — bit-identical to the matching
@@ -235,21 +191,25 @@ mod tests {
     }
 
     #[test]
-    fn refresh_scopes_changes_to_the_swap() {
+    fn recapture_after_a_swap_prices_the_new_cell() {
         let lib = Library::industrial_130nm();
         let mut n = mixed(&lib);
-        let sim = standby_snapshot(&n, &lib);
-        let mut ledger = LeakageLedger::capture(&n, &lib, &sim);
+        let before = LeakageLedger::capture(&n, &lib, &standby_snapshot(&n, &lib));
 
         let g1 = n.find_inst("g1").unwrap();
         n.replace_cell(g1, lib.find_id("ND2_X1_H").unwrap(), &lib)
             .unwrap();
         let sim2 = standby_snapshot(&n, &lib);
-        let changed = ledger.refresh(&n, &lib, &sim2);
+        let after = LeakageLedger::capture(&n, &lib, &sim2);
+        let changed = before
+            .rows
+            .iter()
+            .zip(&after.rows)
+            .filter(|(a, b)| a != b)
+            .count();
         assert_eq!(changed, 1, "only the swapped gate's row moves");
-        assert_eq!(ledger.last_reused, n.inst_capacity() - 1);
 
         let full = standby_leakage(&n, &lib, StateSource::Snapshot(&sim2));
-        assert_eq!(ledger.price(&lib, PricingMode::Standby), full);
+        assert_eq!(after.price(&lib, PricingMode::Standby), full);
     }
 }

@@ -6,7 +6,7 @@
 //! * [`global`] — congestion-aware grid global routing (maze search with
 //!   rip-up & reroute) producing per-net routed lengths;
 //! * [`router`] — the incremental routing session behind it: cached
-//!   per-net base routes, delta-scoped `reroute_nets`, and a
+//!   per-net base routes, a fingerprint-scoped `refresh`, and a
 //!   `full_route_runs()` reuse counter;
 //! * [`extract`] — parasitic extraction at two fidelities: pre-route
 //!   estimates from placement and post-route RC trees with per-sink

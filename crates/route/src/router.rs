@@ -2,9 +2,10 @@
 //!
 //! [`Router`] mirrors the `Placer` / `IncrementalSta` session pattern for
 //! the routing stage: a full [`Router::route`] pass caches one
-//! congestion-blind route per net, and [`Router::reroute_nets`] later
-//! revalidates only the nets whose pin lists changed (cell swapped, load
-//! rebound, instance moved), reusing everything else.
+//! congestion-blind route per net, and [`Router::refresh`] later
+//! revalidates every net against its pin-list fingerprint and re-routes
+//! only those whose pins changed (load rebound, instance moved, net
+//! created), reusing everything else.
 //!
 //! The routing algorithm is organised so that reuse is *exact*, not
 //! approximate:
@@ -36,13 +37,12 @@ use smt_base::par::parallel_map;
 use smt_cells::library::Library;
 use smt_netlist::netlist::{NetDriver, NetId, Netlist};
 use smt_place::Placement;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static FULL_ROUTE_RUNS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of from-scratch global-routing passes since process start.
-/// Incremental [`Router::reroute_nets`] refreshes do not count; tests
+/// Incremental [`Router::refresh`] passes do not count; tests
 /// use the delta of this counter to assert session reuse.
 pub fn full_route_runs() -> u64 {
     FULL_ROUTE_RUNS.load(Ordering::Relaxed)
@@ -57,7 +57,7 @@ struct NetRoute {
 }
 
 /// Incremental global-routing session: cached per-net base routes plus
-/// the machinery to revalidate only what a netlist delta touched.
+/// the machinery to revalidate only the nets whose pins changed.
 #[derive(Debug, Clone)]
 pub struct Router {
     config: RouteConfig,
@@ -130,6 +130,9 @@ impl Router {
         config: &RouteConfig,
         workers: usize,
     ) -> Router {
+        // Routes depend on pin positions only; `lib` keeps the session
+        // API in step with the other flow kernels.
+        let _ = lib;
         FULL_ROUTE_RUNS.fetch_add(1, Ordering::Relaxed);
         let die = placement.die;
         let (nx, ny) = grid_dims(die, config);
@@ -154,7 +157,7 @@ impl Router {
             last_rerouted: 0,
             last_reused: 0,
         };
-        router.refresh_inner(netlist, lib, placement, None, workers);
+        router.refresh_inner(netlist, placement, workers);
         router
     }
 
@@ -163,7 +166,14 @@ impl Router {
         &self.view
     }
 
-    /// Revalidates every net (no candidate scoping).
+    /// Incremental refresh: every net's pin list is checked against its
+    /// cached fingerprint, stale ones get a fresh base route in parallel,
+    /// and congestion resolution reruns over the full design. The scan
+    /// needs no record of what changed, so it is sound against any
+    /// netlist and placement — including a checkpoint fork whose edit
+    /// history diverged from the one this session was built on. A new
+    /// die or route config invalidates everything and falls back to a
+    /// full [`Router::route`].
     pub fn refresh(
         &mut self,
         netlist: &Netlist,
@@ -172,32 +182,12 @@ impl Router {
         config: &RouteConfig,
         workers: usize,
     ) {
-        self.reroute_nets(netlist, lib, placement, config, None, workers);
-    }
-
-    /// Incremental refresh. Only `candidates` (plus any nets created
-    /// since the last pass) are checked against their cached pin
-    /// fingerprints; stale ones get a fresh base route in parallel and
-    /// congestion resolution reruns over the full design. `candidates`
-    /// must cover every net whose pins moved or rebound — the flow
-    /// derives them from a [`smt_netlist::NetlistDelta`] plus a placement
-    /// move scan, which is complete by construction. Passing `None`
-    /// checks all nets.
-    pub fn reroute_nets(
-        &mut self,
-        netlist: &Netlist,
-        lib: &Library,
-        placement: &Placement,
-        config: &RouteConfig,
-        candidates: Option<&BTreeSet<NetId>>,
-        workers: usize,
-    ) {
         if placement.die != self.die || *config != self.config {
             // Geometry or knobs changed: nothing is reusable.
             *self = Router::route(netlist, lib, placement, config, workers);
             return;
         }
-        self.refresh_inner(netlist, lib, placement, candidates, workers);
+        self.refresh_inner(netlist, placement, workers);
     }
 
     /// Digest of the complete routing result (lengths, paths, congestion
@@ -222,15 +212,7 @@ impl Router {
         h.finish()
     }
 
-    fn refresh_inner(
-        &mut self,
-        netlist: &Netlist,
-        lib: &Library,
-        placement: &Placement,
-        candidates: Option<&BTreeSet<NetId>>,
-        workers: usize,
-    ) {
-        let _ = lib;
+    fn refresh_inner(&mut self, netlist: &Netlist, placement: &Placement, workers: usize) {
         let known = self.fp.len();
         let num_nets = netlist.num_nets();
         if num_nets < known {
@@ -249,35 +231,13 @@ impl Router {
 
         // Which slots need their base route rebuilt?
         let mut stale: Vec<NetId> = Vec::new();
-        let check = |id: NetId, fp: &mut Vec<Option<u64>>, stale: &mut Vec<NetId>| {
+        for (id, _) in netlist.nets() {
             let now = pin_fp_of(netlist, placement, id);
-            if fp[id.index()] != Some(now) {
-                fp[id.index()] = Some(now);
+            if self.fp[id.index()] != Some(now) {
+                self.fp[id.index()] = Some(now);
                 stale.push(id);
             }
-        };
-        match candidates {
-            Some(set) => {
-                for &id in set {
-                    if id.index() < num_nets {
-                        check(id, &mut self.fp, &mut stale);
-                    }
-                }
-                // Nets created since the last pass are always checked.
-                for i in known..num_nets {
-                    let id = NetId(i as u32);
-                    if !set.contains(&id) {
-                        check(id, &mut self.fp, &mut stale);
-                    }
-                }
-            }
-            None => {
-                for (id, _) in netlist.nets() {
-                    check(id, &mut self.fp, &mut stale);
-                }
-            }
         }
-        stale.sort_unstable();
         self.last_rerouted = stale.len();
         self.last_reused = num_nets - stale.len();
         if stale.is_empty() && num_nets == known {
@@ -306,7 +266,7 @@ impl Router {
 
         // Base pass over stale nets: pure per-net routing against an
         // empty grid, fanned out with order-preserving `parallel_map`.
-        // Small deltas stay on this thread — spawning a worker pool
+        // Small refreshes stay on this thread — spawning a worker pool
         // costs more than routing a handful of nets.
         let workers = if stale.len() < 32 { 1 } else { workers };
         let empty = Grid::empty(self.nx, self.ny, self.config.capacity);
@@ -500,10 +460,10 @@ mod tests {
         let u7 = n.find_inst("u7").unwrap();
         let loc = p.loc(u7);
         p.set_loc(u7, smt_base::geom::Point::new(loc.x + 16.0, loc.y));
-        let cand: BTreeSet<NetId> = n.inst(u7).conns.iter().flatten().copied().collect();
-        r.reroute_nets(&n, &lib, &p, &cfg, Some(&cand), 0);
-        assert!(r.last_rerouted <= cand.len());
-        assert!(r.last_reused >= n.num_nets() - cand.len());
+        let incident = n.inst(u7).conns.iter().flatten().count();
+        r.refresh(&n, &lib, &p, &cfg, 0);
+        assert!(r.last_rerouted <= incident);
+        assert!(r.last_reused >= n.num_nets() - incident);
 
         let scratch = Router::route(&n, &lib, &p, &cfg, 0);
         assert_eq!(r.digest(), scratch.digest());

@@ -1,7 +1,6 @@
 //! Whole-flow incrementality: warm what-if forks that graft the finals'
-//! routing / CTS / extraction / equivalence / power caches must be
-//! **bit-identical** to the same fork run from scratch, while actually
-//! reusing the cached work:
+//! routing / CTS / extraction caches must be **bit-identical** to the
+//! same fork run from scratch, while actually reusing the cached work:
 //!
 //! * after a Vth swap and an ECO hold-fix what-if, routed lengths,
 //!   extracted RC, clock skew, leakage, the suite digest and the
@@ -9,26 +8,33 @@
 //! * `full_route_runs()` / `full_cts_runs()` stay at the single cold
 //!   pass across session what-ifs — warm forks re-route and re-buffer
 //!   incrementally, never from scratch;
+//! * for every technique, and after hold-fix buffers go in, the routing
+//!   and extraction the flow keeps in sync through its ECO edits equal
+//!   a from-scratch route and extraction of the final design;
+//! * the smoke-suite digests of all three techniques are pinned;
 //! * the parallel re-route fan-out is worker-count invariant (this is
 //!   the test the nightly ThreadSanitizer matrix runs).
 //!
 //! The counters are process-global, so every test here serializes on
 //! one mutex and asserts counter *deltas*, never absolute values.
 
+use selective_mt::base::fingerprint::Fnv64;
 use selective_mt::base::geom::Point;
+use selective_mt::base::units::Time;
 use selective_mt::cells::corner::CornerSet;
 use selective_mt::cells::library::Library;
+use selective_mt::circuits::families::{generate, standard_suite, SuiteScale};
 use selective_mt::circuits::rtl::circuit_b_rtl_sized;
 use selective_mt::core::dualvth::DualVthConfig;
 use selective_mt::core::engine::{
-    Checkpoint, FlowConfig, FlowEngine, FlowResult, StageId, Technique,
+    Checkpoint, DesignState, FlowConfig, FlowEngine, FlowResult, StageId, Technique,
 };
 use selective_mt::core::session::{complete_flow, run_what_if, LibraryPool, Session, WhatIf};
-use selective_mt::core::suite::SuiteOutcome;
+use selective_mt::core::suite::{SuiteOutcome, WorkloadSuite};
 use selective_mt::netlist::netlist::{NetId, Netlist};
 use selective_mt::place::{place, PlacerConfig};
 use selective_mt::route::{
-    full_cts_runs, full_route_runs, reextractions_avoided, RouteConfig, Router,
+    full_cts_runs, full_route_runs, reextractions_avoided, Parasitics, RouteConfig, Router,
 };
 use selective_mt::synth::{synthesize, SynthOptions};
 use std::collections::BTreeSet;
@@ -188,7 +194,6 @@ fn warm_fork_reuses_routes_and_extraction_bit_for_bit() {
         state.router = warm.router;
         state.cts_session = warm.cts_session;
         state.extracted = warm.extracted;
-        state.power_ledger = warm.power_ledger;
         Checkpoint::new(state)
     };
 
@@ -234,24 +239,28 @@ fn reroute_fanout_is_worker_count_invariant() {
     let cfg = RouteConfig::default();
     let base = Router::route(&n, &l, &p, &cfg, 1);
 
-    // Shift a couple dozen instances; their incident nets form the
-    // re-route candidate set.
+    // Shift a couple dozen instances; only their incident nets may be
+    // re-routed.
     let mut moved = p.clone();
-    let mut candidates: BTreeSet<NetId> = BTreeSet::new();
+    let mut incident: BTreeSet<NetId> = BTreeSet::new();
     for (id, inst) in n.instances().take(24) {
         let loc = moved.loc(id);
         moved.set_loc(id, Point::new(loc.x + 8.0, loc.y + 4.0));
-        candidates.extend(inst.conns.iter().flatten().copied());
+        incident.extend(inst.conns.iter().flatten().copied());
     }
 
     let reference = {
         let mut r = base.clone();
-        r.reroute_nets(&n, &l, &moved, &cfg, Some(&candidates), 1);
+        r.refresh(&n, &l, &moved, &cfg, 1);
+        assert!(
+            r.last_rerouted <= incident.len(),
+            "refresh re-routed unmoved nets"
+        );
         r.digest()
     };
     for workers in [2, 4, 8] {
         let mut r = base.clone();
-        r.reroute_nets(&n, &l, &moved, &cfg, Some(&candidates), workers);
+        r.refresh(&n, &l, &moved, &cfg, workers);
         assert_eq!(
             r.digest(),
             reference,
@@ -265,4 +274,109 @@ fn reroute_fanout_is_worker_count_invariant() {
         reference,
         "incremental re-route must match a from-scratch pass"
     );
+}
+
+/// The routing session and extraction a flow state carries equal a
+/// from-scratch route and extraction of its netlist and placement.
+fn assert_synced_to_scratch(state: &DesignState, l: &Library, cfg: &RouteConfig, what: &str) {
+    let placement = state.placer.as_ref().expect("placed").placement();
+    let router = state.router.as_ref().expect("routed");
+    let scratch = Router::route(&state.netlist, l, placement, cfg, 0);
+    assert_eq!(router.digest(), scratch.digest(), "{what}: route digest");
+    let extracted = state.extracted.as_ref().expect("extracted");
+    let fresh = Parasitics::extract(&state.netlist, l, placement, scratch.global());
+    for (id, _) in state.netlist.nets() {
+        assert_eq!(
+            extracted.net(id),
+            fresh.net(id),
+            "{what}: net {id:?} parasitics"
+        );
+    }
+}
+
+#[test]
+fn synced_routing_and_extraction_match_from_scratch_for_every_technique() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let l = lib();
+    let rtl = circuit_b_rtl_sized(8);
+    // ImprovedSmt is the row that re-syncs after post-route switch
+    // sizing (ReoptSwitches → EcoHoldFix); every row syncs through the
+    // setup-recovery passes.
+    for technique in [
+        Technique::DualVth,
+        Technique::ConventionalSmt,
+        Technique::ImprovedSmt,
+    ] {
+        let cfg = FlowConfig {
+            technique,
+            ..FlowConfig::default()
+        };
+        let finals = FlowEngine::new(&l, cfg.clone())
+            .run_until(&rtl, StageId::Signoff)
+            .unwrap_or_else(|e| panic!("{technique}: flow: {e}"));
+        assert_synced_to_scratch(finals.state(), &l, &cfg.route, &technique.to_string());
+    }
+}
+
+#[test]
+fn hold_fix_buffers_are_routed_and_extracted() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let l = lib();
+    let cfg = base_config();
+    let routed = FlowEngine::new(&l, cfg.clone())
+        .run_until(&circuit_b_rtl_sized(8), StageId::RouteExtract)
+        .expect("route");
+    // A skew far beyond what CTS built forces the hold fix to pad.
+    let mut state = routed.restore();
+    state.sta.as_mut().expect("STA config").clock_skew = Time::new(150.0);
+    let fixed = FlowEngine::new(&l, cfg.clone())
+        .resume_until(&Checkpoint::new(state), StageId::EcoHoldFix)
+        .expect("hold fix");
+    let state = fixed.state();
+    let buffers = state.hold_fix.as_ref().expect("hold-fix report").buffers;
+    assert!(buffers > 0, "the skew must force hold buffers");
+    assert_synced_to_scratch(state, &l, &cfg.route, "hold fix");
+}
+
+/// The digests `suite --scale smoke --technique <t> --corners --jobs 1
+/// --no-cache` prints. A change in how the flow learns what changed in
+/// a netlist must leave every one of them alone.
+#[test]
+fn smoke_suite_digests_are_pinned() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let l = lib();
+    let workloads = standard_suite(SuiteScale::Smoke);
+    // The design-list identity the suite binary folds into the report.
+    let mut list_fp = Fnv64::new();
+    for w in &workloads {
+        list_fp.write_str(&w.name);
+        list_fp.write_str(w.config.family());
+        list_fp.write_u64(w.config.fingerprint());
+    }
+    let list_fp = list_fp.finish();
+    for (technique, digest) in [
+        (Technique::DualVth, "b32bd37fe1272d88"),
+        (Technique::ConventionalSmt, "468a64a5806cbc6a"),
+        (Technique::ImprovedSmt, "4e1d156487e18525"),
+    ] {
+        let mut suite = WorkloadSuite::new(FlowConfig {
+            technique,
+            corners: CornerSet::slow_typ_fast(),
+            ..FlowConfig::default()
+        })
+        .with_threads(1)
+        .with_total_designs(workloads.len())
+        .with_suite_fingerprint(list_fp);
+        for (ordinal, w) in workloads.iter().enumerate() {
+            let netlist = generate(&l, &w.config).expect("generate workload");
+            suite.push_ordinal(&w.name, ordinal, netlist);
+        }
+        let report = suite.run(&l);
+        assert!(report.all_passed(), "{technique}: {}", report.render());
+        assert_eq!(
+            format!("{:016x}", report.digest()),
+            digest,
+            "{technique}: smoke-suite digest"
+        );
+    }
 }
